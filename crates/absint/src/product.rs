@@ -6,10 +6,9 @@
 //! *is* following only the arcs the trail allows.
 
 use crate::alphabet::EdgeAlphabet;
-use blazer_automata::{Dfa, Nfa};
-use blazer_ir::budget::{self, Exhausted};
+use blazer_automata::Dfa;
 use blazer_ir::{Cfg, Cond, Edge, Function, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Index of a node in a [`ProductGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,106 +135,6 @@ impl ProductGraph {
             .map(|(i, _)| ProductNodeId(i))
             .collect();
         Self::assemble(nodes, edges, ProductNodeId(0), exits)
-    }
-
-    /// The product of the CFG with a trail NFA, determinized *on demand*:
-    /// nodes are (CFG node, ε-closed NFA state set) pairs, so only the
-    /// subset states reachable under the CFG's own edge structure are ever
-    /// built — the trail's full subset DFA (worst-case exponential in the
-    /// NFA) is never materialized, and no Moore minimization runs.
-    ///
-    /// Pairs whose automaton component is dead (no contained NFA state can
-    /// reach an accepting state) are pruned, exactly as the eager
-    /// [`ProductGraph::restricted`] prunes non-coaccessible DFA states. The
-    /// `dfa_state` of each node is a synthetic index numbering the subset
-    /// states in discovery order.
-    ///
-    /// Polls the installed `blazer_ir::budget` periodically and returns
-    /// [`Exhausted`] instead of completing when it trips.
-    pub fn try_restricted_lazy(
-        f: &Function,
-        cfg: &Cfg,
-        nfa: &Nfa,
-        alphabet: &EdgeAlphabet,
-    ) -> Result<Self, Exhausted> {
-        const POLL_PERIOD: usize = 16;
-        assert_eq!(
-            nfa.alphabet_size() as usize,
-            alphabet.len(),
-            "trail NFA alphabet must match the CFG edge alphabet"
-        );
-        let live = nfa.coaccessible();
-        let is_live = |s: &BTreeSet<usize>| s.iter().any(|&q| live[q]);
-        let start_set = nfa.eps_closure(&BTreeSet::from([nfa.start()]));
-        if !is_live(&start_set) {
-            // The trail is empty: produce a graph with just the entry.
-            let nodes = vec![ProductNode { cfg_node: cfg.entry(), dfa_state: Some(0) }];
-            return Ok(Self::assemble(nodes, Vec::new(), ProductNodeId(0), Vec::new()));
-        }
-        let mut subset_index: BTreeMap<BTreeSet<usize>, usize> = BTreeMap::new();
-        let mut subsets: Vec<BTreeSet<usize>> = Vec::new();
-        subset_index.insert(start_set.clone(), 0);
-        subsets.push(start_set);
-        let mut index: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut nodes = vec![ProductNode { cfg_node: cfg.entry(), dfa_state: Some(0) }];
-        let mut edges: Vec<ProductEdge> = Vec::new();
-        index.insert((cfg.entry().index(), 0), 0);
-        let mut work = vec![0usize];
-        let mut pops = 0usize;
-        while let Some(i) = work.pop() {
-            pops += 1;
-            if pops % POLL_PERIOD == 1 {
-                budget::check()?;
-            }
-            let (cn_idx, mid) = {
-                let n = nodes[i];
-                (n.cfg_node, n.dfa_state.unwrap())
-            };
-            for &succ in cfg.succs(cn_idx) {
-                let e = Edge::new(cn_idx, succ);
-                let s2 = nfa.eps_closure(&nfa.step(&subsets[mid], alphabet.sym(e)));
-                if !is_live(&s2) {
-                    continue;
-                }
-                let m2 = match subset_index.get(&s2) {
-                    Some(&m) => m,
-                    None => {
-                        let m = subsets.len();
-                        subset_index.insert(s2.clone(), m);
-                        subsets.push(s2);
-                        m
-                    }
-                };
-                let key = (succ.index(), m2);
-                let j = match index.get(&key) {
-                    Some(&j) => j,
-                    None => {
-                        let j = nodes.len();
-                        index.insert(key, j);
-                        nodes.push(ProductNode { cfg_node: succ, dfa_state: Some(m2) });
-                        work.push(j);
-                        j
-                    }
-                };
-                edges.push(ProductEdge {
-                    from: ProductNodeId(i),
-                    to: ProductNodeId(j),
-                    cfg_edge: e,
-                    cond: branch_info(f, cfg, e),
-                });
-            }
-        }
-        let exits = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                n.cfg_node == cfg.exit()
-                    && n.dfa_state
-                        .is_some_and(|m| subsets[m].iter().any(|q| nfa.accepting().contains(q)))
-            })
-            .map(|(i, _)| ProductNodeId(i))
-            .collect();
-        Ok(Self::assemble(nodes, edges, ProductNodeId(0), exits))
     }
 
     /// Assembles a graph from explicit parts (used by the seeding module to
@@ -571,67 +470,5 @@ mod tests {
         assert_eq!(head_copies, 2);
         assert!(g.cyclic_sccs().is_empty());
         assert_eq!(g.exits().len(), 1);
-
-        // The lazy construction restricts identically: acyclic, one exit,
-        // the head duplicated across the two subset states it pairs with.
-        let nfa = blazer_automata::Nfa::from_regex(&r, alpha.len() as u32);
-        let lazy = ProductGraph::try_restricted_lazy(f, &cfg, &nfa, &alpha).unwrap();
-        let lazy_head_copies = lazy
-            .nodes()
-            .iter()
-            .filter(|n| n.cfg_node == NodeId::block(blazer_ir::BlockId::new(1)))
-            .count();
-        assert_eq!(lazy_head_copies, 2);
-        assert!(lazy.cyclic_sccs().is_empty());
-        assert_eq!(lazy.exits().len(), 1);
-    }
-
-    #[test]
-    fn lazy_restriction_mirrors_eager_structure() {
-        let (p, name) = loop_fn();
-        let f = p.function(&name).unwrap();
-        let cfg = Cfg::new(f);
-        let alpha = EdgeAlphabet::new(&cfg);
-        let edges: Vec<(usize, blazer_automata::Sym, usize)> =
-            cfg.edges().into_iter().map(|e| (e.from.index(), alpha.sym(e), e.to.index())).collect();
-        let r = graph_to_regex(cfg.n_nodes(), &edges, cfg.entry().index(), &[cfg.exit().index()]);
-        let nfa = blazer_automata::Nfa::from_regex(&r, alpha.len() as u32);
-        let g = ProductGraph::try_restricted_lazy(f, &cfg, &nfa, &alpha).unwrap();
-        // Every CFG node appears, there is an accepted exit, and the loop
-        // survives restriction to the most general trail.
-        let cfg_nodes: std::collections::BTreeSet<usize> =
-            g.nodes().iter().map(|n| n.cfg_node.index()).collect();
-        assert_eq!(cfg_nodes.len(), cfg.n_nodes());
-        assert!(!g.exits().is_empty());
-        assert_eq!(g.cyclic_sccs().len(), 1);
-    }
-
-    #[test]
-    fn lazy_restriction_to_empty_trail_has_no_exit() {
-        let (p, name) = loop_fn();
-        let f = p.function(&name).unwrap();
-        let cfg = Cfg::new(f);
-        let alpha = EdgeAlphabet::new(&cfg);
-        let nfa = blazer_automata::Nfa::from_regex(&Regex::Empty, alpha.len() as u32);
-        let g = ProductGraph::try_restricted_lazy(f, &cfg, &nfa, &alpha).unwrap();
-        assert!(g.exits().is_empty());
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn lazy_restriction_cooperates_with_the_budget() {
-        use blazer_ir::budget::{Budget, Resource};
-        let (p, name) = loop_fn();
-        let f = p.function(&name).unwrap();
-        let cfg = Cfg::new(f);
-        let alpha = EdgeAlphabet::new(&cfg);
-        let edges: Vec<(usize, blazer_automata::Sym, usize)> =
-            cfg.edges().into_iter().map(|e| (e.from.index(), alpha.sym(e), e.to.index())).collect();
-        let r = graph_to_regex(cfg.n_nodes(), &edges, cfg.entry().index(), &[cfg.exit().index()]);
-        let nfa = blazer_automata::Nfa::from_regex(&r, alpha.len() as u32);
-        let _g = Budget::unlimited().with_deadline(std::time::Duration::ZERO).install();
-        let err = ProductGraph::try_restricted_lazy(f, &cfg, &nfa, &alpha)
-            .expect_err("dead deadline trips the first poll");
-        assert_eq!(err.resource, Resource::WallClock);
     }
 }

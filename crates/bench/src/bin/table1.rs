@@ -21,7 +21,7 @@
 //! thread count, so the perf trajectory is trackable across commits:
 //! compare `BLAZER_THREADS=1` against `BLAZER_THREADS=4` runs.
 
-use blazer_bench::{backend_from_env, config_for, try_run_benchmark_with_backend, Row};
+use blazer_bench::{config_for, try_run_benchmark_with_backend, EnvOverrides, Row};
 use blazer_core::{AntichainStats, SeedStats, Verdict};
 use blazer_ir::json::Json;
 use blazer_portfolio::Backend;
@@ -119,9 +119,15 @@ fn main() {
     let only: Option<Vec<String>> = std::env::var("BLAZER_ONLY")
         .ok()
         .map(|s| s.split(',').map(|p| p.trim().to_string()).collect());
+    let backend = match EnvOverrides::from_env() {
+        Ok(overrides) => overrides.backend,
+        Err(e) => {
+            eprintln!("table1: {e}");
+            std::process::exit(2);
+        }
+    };
     // All groups share the same width policy; report what the analyses use.
     let threads = config_for(blazer_benchmarks::Group::MicroBench).effective_threads();
-    let backend = backend_from_env();
     if backend != Backend::Decomp {
         println!("backend: {backend} (BLAZER_BACKEND)");
     }

@@ -7,40 +7,81 @@
 #![forbid(unsafe_code)]
 
 use blazer_benchmarks::{Benchmark, Expected, Group};
-use blazer_core::{AnalysisOutcome, AntichainStats, Blazer, Config, SeedStats, Verdict};
+use blazer_core::{
+    AnalysisOutcome, AntichainStats, Blazer, Config, DomainKind, SeedStats, Verdict,
+};
+use blazer_ir::cost::CostModel;
 use blazer_portfolio::{analyze_portfolio, Backend, PortfolioReport};
+use std::str::FromStr;
 use std::time::Duration;
 
-/// The table-wide backend selection: `BLAZER_BACKEND=portfolio` (or
-/// `selfcomp`, for completeness) switches `table1` away from the default
-/// decomposition driver. Unset or unrecognized values mean decomp.
-pub fn backend_from_env() -> Backend {
-    std::env::var("BLAZER_BACKEND").ok().and_then(|s| s.parse().ok()).unwrap_or(Backend::Decomp)
+/// The table-wide overrides a harness run takes from its environment:
+/// `BLAZER_DOMAIN` (domain ablation), `BLAZER_COST_MODEL` (cross-model
+/// oracle sweeps) and `BLAZER_BACKEND` (portfolio rows). An unset variable
+/// keeps the default; a value that names nothing is an error naming the
+/// variable and the values it accepts, so a typo in a job's environment
+/// cannot silently run (and pass) the default configuration.
+#[derive(Debug, PartialEq)]
+pub struct EnvOverrides {
+    /// The numeric domain replacing the groups' polyhedra default.
+    pub domain: Option<DomainKind>,
+    /// The observer cost model replacing the unit default.
+    pub cost_model: Option<CostModel>,
+    /// The backend answering each row (decomposition when unset).
+    pub backend: Backend,
+}
+
+impl EnvOverrides {
+    /// Reads the overrides from the process environment.
+    ///
+    /// # Errors
+    ///
+    /// Names the first variable whose value is not one it accepts.
+    pub fn from_env() -> Result<EnvOverrides, String> {
+        EnvOverrides::parse(|name| std::env::var(name).ok())
+    }
+
+    /// Parses the overrides from a variable lookup.
+    fn parse(get: impl Fn(&str) -> Option<String>) -> Result<EnvOverrides, String> {
+        fn var<T: FromStr>(
+            get: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            accepted: &str,
+        ) -> Result<Option<T>, String> {
+            get(name)
+                .map(|value| {
+                    value
+                        .parse()
+                        .map_err(|_| format!("{name} must be one of {accepted}, got {value:?}"))
+                })
+                .transpose()
+        }
+        Ok(EnvOverrides {
+            domain: var(&get, "BLAZER_DOMAIN", "interval|zone|octagon|polyhedra")?,
+            cost_model: var(&get, "BLAZER_COST_MODEL", "unit|weighted|cache")?,
+            backend: var(&get, "BLAZER_BACKEND", "decomp|selfcomp|portfolio")?
+                .unwrap_or(Backend::Decomp),
+        })
+    }
 }
 
 /// The analysis configuration for a benchmark group (the two observer
-/// models of Sec. 6.1).
+/// models of Sec. 6.1), with the environment's [`EnvOverrides`] applied.
+///
+/// # Panics
+///
+/// When an override variable holds a value it does not accept.
 pub fn config_for(group: Group) -> Config {
     let mut c = match group {
         Group::MicroBench => Config::microbench(),
         Group::Stac | Group::Literature => Config::stac(),
     };
-    // Domain override for ablation experiments: BLAZER_DOMAIN=interval|zone|octagon|polyhedra.
-    if let Ok(d) = std::env::var("BLAZER_DOMAIN") {
-        c.domain = match d.as_str() {
-            "interval" => blazer_core::DomainKind::Interval,
-            "zone" => blazer_core::DomainKind::Zone,
-            "octagon" => blazer_core::DomainKind::Octagon,
-            _ => blazer_core::DomainKind::Polyhedra,
-        };
+    let overrides = EnvOverrides::from_env().unwrap_or_else(|e| panic!("{e}"));
+    if let Some(domain) = overrides.domain {
+        c.domain = domain;
     }
-    // Observer cost-model override for the cross-model oracle sweeps:
-    // BLAZER_COST_MODEL=unit|weighted|cache. Unset or unrecognized values
-    // keep the default unit model, so existing snapshots are unaffected.
-    if let Ok(m) = std::env::var("BLAZER_COST_MODEL") {
-        if let Ok(model) = m.parse::<blazer_ir::cost::CostModel>() {
-            c.cost_model = model;
-        }
+    if let Some(cost_model) = overrides.cost_model {
+        c.cost_model = cost_model;
     }
     c
 }
@@ -200,6 +241,38 @@ mod tests {
         for g in [Group::Stac, Group::Literature] {
             let c = config_for(g);
             assert!(matches!(c.observer, blazer_bounds::Observer::ConcreteThreshold { .. }));
+        }
+    }
+
+    #[test]
+    fn env_overrides_reject_unknown_values() {
+        let unset = EnvOverrides::parse(|_| None).unwrap();
+        assert_eq!(
+            unset,
+            EnvOverrides { domain: None, cost_model: None, backend: Backend::Decomp }
+        );
+        let set = EnvOverrides::parse(|name| {
+            Some(
+                match name {
+                    "BLAZER_DOMAIN" => "zone",
+                    "BLAZER_COST_MODEL" => "cache",
+                    _ => "portfolio",
+                }
+                .to_string(),
+            )
+        })
+        .unwrap();
+        assert_eq!(set.domain, Some(DomainKind::Zone));
+        assert_eq!(set.cost_model, Some(CostModel::cache_aware()));
+        assert_eq!(set.backend, Backend::Portfolio);
+        for (var, bad, accepted) in [
+            ("BLAZER_DOMAIN", "polyhedron", "interval|zone|octagon|polyhedra"),
+            ("BLAZER_COST_MODEL", "cached", "unit|weighted|cache"),
+            ("BLAZER_BACKEND", "decmp", "decomp|selfcomp|portfolio"),
+        ] {
+            let err =
+                EnvOverrides::parse(|name| (name == var).then(|| bad.to_string())).expect_err(var);
+            assert!(err.contains(var) && err.contains(accepted) && err.contains(bad), "{err}");
         }
     }
 

@@ -21,7 +21,6 @@ use blazer_core::{Blazer, SeedStats};
 
 fn check_equivalence(benchmarks: &[Benchmark]) {
     std::env::set_var("BLAZER_CHECK_SEEDS", "0");
-    std::env::remove_var("BLAZER_NO_SEED");
 
     let mut totals = (SeedStats::default(), SeedStats::default());
     for b in benchmarks {

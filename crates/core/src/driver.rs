@@ -18,6 +18,7 @@ use blazer_ir::{CallCost, Cfg, Function, Inst, NodeId, Program, Terminator};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -63,6 +64,23 @@ impl fmt::Display for DomainKind {
     }
 }
 
+/// The inverse of [`DomainKind`]'s `Display`: exactly the four printed names.
+impl FromStr for DomainKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DomainKind, String> {
+        match s {
+            "interval" => Ok(DomainKind::Interval),
+            "zone" => Ok(DomainKind::Zone),
+            "octagon" => Ok(DomainKind::Octagon),
+            "polyhedra" => Ok(DomainKind::Polyhedra),
+            other => {
+                Err(format!("unknown domain `{other}` (expected interval|zone|octagon|polyhedra)"))
+            }
+        }
+    }
+}
+
 /// Analysis configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -95,7 +113,7 @@ pub struct Config {
     pub threads: Option<usize>,
     /// Whether child trails' fixpoints are seeded from their parent's
     /// converged post-states (incremental fixpoint seeding). Defaults to
-    /// `true`; `BLAZER_NO_SEED=1` disables it at runtime for A/B
+    /// `true`; [`Config::with_seeding`]`(false)` disables it for A/B
     /// comparisons. Seeding changes pass counts, never verdicts: on debug
     /// builds every seeded result is checked against a from-⊥ rerun and
     /// rejected (with a from-⊥ fallback) if it differs.
@@ -200,15 +218,6 @@ impl Config {
     pub fn with_ambient_budget(mut self) -> Self {
         self.use_ambient_budget = true;
         self
-    }
-
-    /// Whether incremental fixpoint seeding is active: the config flag,
-    /// unless `BLAZER_NO_SEED` (set to anything but `0`) switches it off.
-    pub fn effective_seeding(&self) -> bool {
-        if std::env::var("BLAZER_NO_SEED").is_ok_and(|v| v.trim() != "0" && !v.trim().is_empty()) {
-            return false;
-        }
-        self.seed_fixpoints
     }
 
     /// The evaluation width actually used: an explicit [`Config::threads`]
@@ -457,18 +466,6 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// Cache key for one trail's bound result: the canonical (printed) trail
-/// regex, the starting domain of the degradation ladder, and the function
-/// under analysis. The attack phase's re-splits and sibling-preserving
-/// refinements frequently reproduce trails the safety phase already
-/// analyzed; the key makes that reuse exact.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct BoundKey {
-    function: String,
-    domain: DomainKind,
-    trail: String,
-}
-
 /// A memoized bound computation: the result plus the domain fallbacks taken
 /// while computing it (re-emitted, re-keyed to the requesting node, on every
 /// cache hit so per-node degradation reporting stays meaningful) and — when
@@ -481,14 +478,17 @@ struct CachedBounds {
     post: Option<Arc<SeedMap>>,
 }
 
-/// Per-analysis memoization: bound results keyed by [`BoundKey`], and
-/// minimized-DFA/restricted-product graphs keyed by the canonical trail
-/// regex (shared behind a mutex so parallel workers build each graph at
-/// most once per round and reuse it across degradation-ladder rungs and
-/// refinement rounds).
+/// Per-analysis memoization keyed by the canonical (printed) trail regex:
+/// bound results, and minimized-DFA/restricted-product graphs (shared
+/// behind a mutex so parallel workers build each graph at most once per
+/// round and reuse it across degradation-ladder rungs and refinement
+/// rounds). The attack phase's re-splits and sibling-preserving
+/// refinements frequently reproduce trails the safety phase already
+/// analyzed. The cache lives for one analysis of one function from one
+/// starting domain, so the trail alone makes that reuse exact.
 #[derive(Debug, Default)]
 struct BoundCache {
-    bounds: HashMap<BoundKey, CachedBounds>,
+    bounds: HashMap<String, CachedBounds>,
     graphs: Mutex<HashMap<String, Arc<ProductGraph>>>,
 }
 
@@ -501,8 +501,9 @@ struct EvalCtx<'a> {
     cfg: &'a Cfg,
     alphabet: &'a EdgeAlphabet,
     dims: &'a DimMap,
-    /// Build trail product graphs with the eager minimized-DFA pipeline
-    /// instead of the lazy on-demand subset construction.
+    /// Whether the classic (eager) automata engine was selected for this
+    /// analysis: block splits decide through it, and every product graph
+    /// built counts as a classic fallback.
     classic: bool,
 }
 
@@ -575,435 +576,77 @@ impl Blazer {
         let f =
             program.function(func).ok_or_else(|| CoreError::NoSuchFunction(func.to_string()))?;
         let start = Instant::now();
-        let mut degradations: Vec<Degradation> = Vec::new();
-        let mut seed_stats = SeedStats::default();
 
         let cfg = Cfg::new(f);
         let alphabet = EdgeAlphabet::new(&cfg);
         let dims = DimMap::new(f);
         let taint = blazer_taint::analyze_function(program, f);
+        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims: &dims, classic };
+        let mut search = Search::new(self, ctx, &taint, &stats);
 
         // Fast path: with no secret influence on control flow or call
         // costs, there is nothing to leak (nosecret_safe).
         if !has_secret_influence(f, &taint) {
-            let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
-            tree.node_mut(0).status = NodeStatus::Narrow;
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Safe,
-                tree,
-                safety_time: start.elapsed(),
-                attack_time: None,
-                n_blocks: f.blocks().len(),
-                degradations,
-                budget_report: budget::report(),
-                seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+            search.tree.node_mut(0).status = NodeStatus::Narrow;
+            return Ok(search.finish(Verdict::Safe, start.elapsed(), None));
         }
 
-        let branches = branch_syms(f, &alphabet, &taint);
-        let high_seeds: BTreeSet<usize> = f
-            .params()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.label.is_high())
-            .map(|(i, _)| dims.seed(i))
-            .collect();
-
-        let mut tree = TrailTree::new(most_general_trail(&cfg, &alphabet));
-        let mut star_depth: Vec<usize> = vec![0];
-        let ctx = EvalCtx { program, f, cfg: &cfg, alphabet: &alphabet, dims: &dims, classic };
-        let mut cache = BoundCache::default();
-        let width = self.config.effective_threads();
-
         // ---- Safety loop: RefinePartition(safe) + CheckSafe --------------
-        let mut budget_stop: Option<Resource> = None;
-        let safe = loop {
+        // Each round evaluates the previous round's new children (the root
+        // in the first round), then refines wide leaves at low-only
+        // constructors.
+        let mut pending = vec![0];
+        let safety = loop {
             if let Err(e) = budget::consume_refinement_step() {
-                budget_stop = Some(e.resource);
-                break false;
+                // A Wide leaf under an exhausted budget proves nothing: the
+                // degraded bounds are over-approximations. Surface the
+                // budget, not a (possibly wrong) attack.
+                break Some(Verdict::Unknown(UnknownReason::BudgetExhausted(e.resource)));
             }
-            // Evaluate all pending leaves of this round as one batch:
-            // cache-resolved first, then the misses fanned out across the
-            // worker pool, with results merged back in leaf order so the
-            // outcome is bit-identical at every width.
-            let leaves = tree.leaves();
-            let pending: Vec<usize> = leaves
-                .iter()
-                .copied()
-                .filter(|&l| tree.node(l).status == NodeStatus::Pending)
-                .collect();
-            for (leaf, b) in self.eval_pending(
-                &ctx,
-                &tree,
-                &pending,
-                &mut cache,
-                &mut degradations,
-                &mut seed_stats,
-                width,
-            ) {
-                tree.node_mut(leaf).status = judge(&b, &self.config.observer, &high_seeds);
-                tree.node_mut(leaf).bounds = Some(b);
+            search.evaluate(&pending);
+            if search.all_leaves_narrow() {
+                break Some(Verdict::Safe);
             }
-            if leaves
-                .iter()
-                .all(|&l| matches!(tree.node(l).status, NodeStatus::Narrow | NodeStatus::Empty))
-            {
-                break true;
-            }
-            // Refine wide leaves at low-only constructors.
-            let mut split_any = false;
-            for leaf in leaves {
-                if tree.node(leaf).status != NodeStatus::Wide {
-                    continue;
-                }
-                if tree.len() + 2 > self.config.max_trails {
-                    continue;
-                }
-                let allow_star = star_depth[leaf] < self.config.max_star_unrollings;
-                let split = refine_partition(
-                    &tree.node(leaf).trail,
-                    &branches,
-                    RefineMode::Safe,
-                    allow_star,
-                )
-                .or_else(|| {
-                    branches.iter().find_map(|br| {
-                        block_split(
-                            &tree.node(leaf).trail,
-                            br,
-                            alphabet.len() as u32,
-                            RefineMode::Safe,
-                            self.config.max_trail_size,
-                            classic,
-                        )
-                    })
-                });
-                let Some(split) = split else { continue };
-                if split.parts.iter().any(|p| p.size() > self.config.max_trail_size) {
-                    continue;
-                }
-                let child_depth = star_depth[leaf] + usize::from(split.is_star);
-                for part in split.parts {
-                    tree.add_child(leaf, part, SplitKind::Taint);
-                    star_depth.push(child_depth);
-                }
-                split_any = true;
-            }
-            if !split_any {
-                break false;
+            pending = search.split(RefineMode::Safe, SplitKind::Taint).concat();
+            if pending.is_empty() {
+                break None;
             }
         };
         let safety_time = start.elapsed();
-        if safe {
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Safe,
-                tree,
-                safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
-                degradations,
-                budget_report: budget::report(),
-                seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
-        }
-        if let Some(resource) = budget_stop {
-            // A Wide leaf under an exhausted budget proves nothing: the
-            // degraded bounds are over-approximations. Surface the budget,
-            // not a (possibly wrong) attack.
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Unknown(UnknownReason::BudgetExhausted(resource)),
-                tree,
-                safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
-                degradations,
-                budget_report: budget::report(),
-                seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+        if let Some(verdict) = safety {
+            return Ok(search.finish(verdict, safety_time, None));
         }
         if !self.config.synthesize_attack {
-            return Ok(AnalysisOutcome {
-                function: func.to_string(),
-                verdict: Verdict::Unknown(UnknownReason::AttackSynthesisDisabled),
-                tree,
-                safety_time,
-                attack_time: None,
-                n_blocks: f.blocks().len(),
-                degradations,
-                budget_report: budget::report(),
-                seed_stats,
-                antichain_stats: stats.snapshot(),
-                cost_model: self.config.cost_model.clone(),
-            });
+            let verdict = Verdict::Unknown(UnknownReason::AttackSynthesisDisabled);
+            return Ok(search.finish(verdict, safety_time, None));
         }
 
         // ---- Attack loop: RefinePartition(vulnerable) + CheckAttack ------
+        // Each round performs every secret split first, then evaluates the
+        // new children as one batch and checks them for an attack pair.
         let attack_start = Instant::now();
-        let mut verdict = Verdict::Unknown(UnknownReason::SearchExhausted);
         // All nodes produced by secret splits; CHECKATTACK compares any two
         // of them whose *separation* is a secret split (their lowest common
         // ancestor's children on the two paths were produced by a `sec`
         // split — the paper's "T₁ ⊎ T₂ is not a ψ_SC-quotient partition").
         let mut candidates: Vec<usize> = Vec::new();
-        'attack: loop {
+        let verdict = loop {
             if let Err(e) = budget::consume_refinement_step() {
                 // Degraded bounds over-approximate, so a pair that looks
                 // observably different under exhaustion could be spurious:
                 // stop and report the budget instead.
-                verdict = Verdict::Unknown(UnknownReason::BudgetExhausted(e.resource));
-                break;
+                break Verdict::Unknown(UnknownReason::BudgetExhausted(e.resource));
             }
-            // Split phase: perform every secret split of this round first
-            // (sequential and deterministic — split decisions depend only on
-            // the pre-round tree), collecting the new children per split.
-            let mut split_any = false;
-            let mut round_splits: Vec<Vec<usize>> = Vec::new();
-            for leaf in tree.leaves() {
-                if tree.node(leaf).status != NodeStatus::Wide {
-                    continue;
-                }
-                if tree.len() + 2 > self.config.max_trails {
-                    break;
-                }
-                let allow_star = star_depth[leaf] < self.config.max_star_unrollings;
-                let split = refine_partition(
-                    &tree.node(leaf).trail,
-                    &branches,
-                    RefineMode::Vulnerable,
-                    allow_star,
-                )
-                .or_else(|| {
-                    branches.iter().find_map(|br| {
-                        block_split(
-                            &tree.node(leaf).trail,
-                            br,
-                            alphabet.len() as u32,
-                            RefineMode::Vulnerable,
-                            self.config.max_trail_size,
-                            classic,
-                        )
-                    })
-                });
-                let Some(split) = split else { continue };
-                if split.parts.iter().any(|p| p.size() > self.config.max_trail_size) {
-                    continue;
-                }
-                split_any = true;
-                let child_depth = star_depth[leaf] + usize::from(split.is_star);
-                let mut children = Vec::new();
-                for part in split.parts {
-                    let id = tree.add_child(leaf, part, SplitKind::Secret);
-                    star_depth.push(child_depth);
-                    children.push(id);
-                }
-                round_splits.push(children);
+            let round = search.split(RefineMode::Vulnerable, SplitKind::Secret);
+            search.evaluate(&round.concat());
+            if let Some(spec) = search.check_attack(&round, &mut candidates) {
+                break Verdict::Attack(spec);
             }
-            // Evaluation phase: all of the round's new children as one
-            // (cached, parallel) batch.
-            let new_nodes: Vec<usize> = round_splits.iter().flatten().copied().collect();
-            for (id, b) in self.eval_pending(
-                &ctx,
-                &tree,
-                &new_nodes,
-                &mut cache,
-                &mut degradations,
-                &mut seed_stats,
-                width,
-            ) {
-                tree.node_mut(id).status = judge(&b, &self.config.observer, &high_seeds);
-                tree.node_mut(id).bounds = Some(b);
+            if round.is_empty() || search.tree.len() >= self.config.max_trails {
+                break Verdict::Unknown(UnknownReason::SearchExhausted);
             }
-            // CHECKATTACK phase: identical pair order to a strictly
-            // sequential evaluation, so the reported specification (the
-            // first observably-different sec-separated pair) is the same at
-            // every thread count.
-            for children in &round_splits {
-                for &c in children {
-                    for &d in &candidates {
-                        if !sec_separated(&tree, c, d) {
-                            continue;
-                        }
-                        if let Some(spec) = check_attack_pair(&self.config.observer, &tree, c, d) {
-                            tree.node_mut(c).status = NodeStatus::Attack;
-                            tree.node_mut(d).status = NodeStatus::Attack;
-                            verdict = Verdict::Attack(spec);
-                            break 'attack;
-                        }
-                    }
-                    candidates.push(c);
-                }
-                // Siblings of one split are always sec-separated.
-                for (ai, &a) in children.iter().enumerate() {
-                    for &b in &children[ai + 1..] {
-                        if let Some(spec) = check_attack_pair(&self.config.observer, &tree, a, b) {
-                            tree.node_mut(a).status = NodeStatus::Attack;
-                            tree.node_mut(b).status = NodeStatus::Attack;
-                            verdict = Verdict::Attack(spec);
-                            break 'attack;
-                        }
-                    }
-                }
-            }
-            if !split_any || tree.len() >= self.config.max_trails {
-                break;
-            }
-        }
-        Ok(AnalysisOutcome {
-            function: func.to_string(),
-            verdict,
-            tree,
-            safety_time,
-            attack_time: Some(attack_start.elapsed()),
-            n_blocks: f.blocks().len(),
-            degradations,
-            budget_report: budget::report(),
-            seed_stats,
-            antichain_stats: stats.snapshot(),
-            cost_model: self.config.cost_model.clone(),
-        })
-    }
-
-    /// Evaluates a batch of tree nodes (one refinement round's pending
-    /// leaves) and returns `(node, bounds)` pairs in `nodes` order.
-    ///
-    /// The batch is resolved in three deterministic stages, identical at
-    /// every thread width:
-    ///
-    /// 1. **Cache lookup** in `nodes` order: hits reuse the memoized
-    ///    [`BoundResult`] (re-emitting its degradations keyed to the
-    ///    requesting node), and duplicate trails within the batch collapse
-    ///    onto one job, so the set of *evaluated* trails does not depend on
-    ///    scheduling.
-    /// 2. **Evaluation** of the remaining jobs: sequential on the calling
-    ///    thread at width 1 (exactly the pre-parallel behavior), otherwise
-    ///    fanned out over `std::thread::scope` workers that pull jobs from a
-    ///    shared index and install this analysis' shared budget handle, so
-    ///    every resource cap stays one global ledger.
-    /// 3. **Merge** in `nodes` order: degradations, cache insertions, and
-    ///    results are committed in leaf order regardless of which worker
-    ///    finished first. A worker panic (e.g. an injected fault) is
-    ///    re-raised here with its original payload, after all workers have
-    ///    finished.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_pending(
-        &self,
-        ctx: &EvalCtx<'_>,
-        tree: &TrailTree,
-        nodes: &[usize],
-        cache: &mut BoundCache,
-        degradations: &mut Vec<Degradation>,
-        seed_stats: &mut SeedStats,
-        width: usize,
-    ) -> Vec<(usize, BoundResult)> {
-        enum Source {
-            /// Served from the cross-round bound cache.
-            Hit(CachedBounds),
-            /// Evaluated by job index this round.
-            Job(usize),
-            /// Duplicate of another node's trail in this same batch.
-            Dup(usize),
-        }
-        let seeding = self.config.effective_seeding();
-        let BoundCache { bounds: cached_bounds, graphs } = cache;
-        let mut plan: Vec<(usize, Source)> = Vec::with_capacity(nodes.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
-        let mut job_keys: Vec<BoundKey> = Vec::new();
-        let mut job_by_key: HashMap<BoundKey, usize> = HashMap::new();
-        for &node in nodes {
-            let key = BoundKey {
-                function: ctx.f.name().to_string(),
-                domain: self.config.domain,
-                trail: tree.node(node).trail.to_string(),
-            };
-            if let Some(hit) = cached_bounds.get(&key) {
-                plan.push((node, Source::Hit(hit.clone())));
-            } else if let Some(&j) = job_by_key.get(&key) {
-                plan.push((node, Source::Dup(j)));
-            } else {
-                // Seed lookup: the parent trail was evaluated in an earlier
-                // round (children only ever sprout from judged leaves), so
-                // its cache entry — when the ladder stayed clean — carries
-                // the post-states this child starts from.
-                let seed = if seeding {
-                    tree.node(node).parent.and_then(|p| {
-                        let parent_key = BoundKey {
-                            function: ctx.f.name().to_string(),
-                            domain: self.config.domain,
-                            trail: tree.node(p).trail.to_string(),
-                        };
-                        cached_bounds.get(&parent_key).and_then(|hit| hit.post.clone())
-                    })
-                } else {
-                    None
-                };
-                let j = jobs.len();
-                jobs.push((node, seed));
-                job_keys.push(key.clone());
-                job_by_key.insert(key, j);
-                plan.push((node, Source::Job(j)));
-            }
-        }
-
-        let outs: Vec<EvalOut> = if width <= 1 || jobs.len() <= 1 {
-            jobs.iter()
-                .map(|(node, seed)| {
-                    self.bounds_for(ctx, graphs, &tree.node(*node).trail, *node, seed.as_deref())
-                })
-                .collect()
-        } else {
-            self.eval_jobs_parallel(ctx, tree, &jobs, graphs, width)
         };
-
-        let mut merged = Vec::with_capacity(nodes.len());
-        for (node, source) in plan {
-            match source {
-                Source::Hit(hit) => {
-                    degradations.extend(
-                        hit.degradations.iter().map(|&(from, to, reason)| Degradation {
-                            node,
-                            from,
-                            to,
-                            reason,
-                        }),
-                    );
-                    merged.push((node, hit.result.clone()));
-                }
-                Source::Job(j) => {
-                    let out = &outs[j];
-                    degradations.extend(out.degradations.iter().cloned());
-                    seed_stats.absorb_eval(out);
-                    cached_bounds.insert(
-                        job_keys[j].clone(),
-                        CachedBounds {
-                            result: out.result.clone(),
-                            degradations: out
-                                .degradations
-                                .iter()
-                                .map(|d| (d.from, d.to, d.reason))
-                                .collect(),
-                            post: out.post.clone().map(Arc::new),
-                        },
-                    );
-                    merged.push((node, out.result.clone()));
-                }
-                Source::Dup(j) => {
-                    let out = &outs[j];
-                    degradations
-                        .extend(out.degradations.iter().map(|d| Degradation { node, ..d.clone() }));
-                    merged.push((node, out.result.clone()));
-                }
-            }
-        }
-        merged
+        Ok(search.finish(verdict, safety_time, Some(attack_start.elapsed())))
     }
 
     /// Fans `jobs` (tree-node index plus optional parent seed) out over a
@@ -1054,29 +697,15 @@ impl Blazer {
                 });
             }
         });
-        let mut outs = Vec::with_capacity(jobs.len());
-        let mut first_panic = None;
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(Ok(out)) => outs.push(out),
-                Some(Err(payload)) => {
-                    first_panic.get_or_insert(payload);
-                    outs.push(EvalOut {
-                        result: BoundResult { lower: None, upper: None },
-                        degradations: Vec::new(),
-                        post: None,
-                        seeded: false,
-                        seed_rejected: false,
-                        top_passes: 0,
-                    });
-                }
-                None => unreachable!("every job index is claimed by some worker"),
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        outs
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("every job index is claimed by some worker")
+            })
+            .collect::<std::thread::Result<Vec<EvalOut>>>()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     /// BOUNDANALYSIS for one trail: restrict the product to the trail's
@@ -1110,8 +739,8 @@ impl Blazer {
         let graph: Arc<ProductGraph> = match cached {
             Some(g) => g,
             None => {
-                // Both engines materialize the *minimized* DFA here: the
-                // subset product (ProductGraph::try_restricted_lazy)
+                // Both engines materialize the *minimized* DFA here: a
+                // product over the trail's unminimized subset automaton
                 // empirically loses upper-bound precision — duplicated loop
                 // heads inside one SCC weaken the widening-based bounds to
                 // ∞ — so minimization is load-bearing for the product graph
@@ -1145,15 +774,6 @@ impl Blazer {
                         };
                     }
                 };
-                if std::env::var("BLAZER_TRACE_BOUNDS").is_ok() {
-                    eprintln!(
-                        "bounds_for: trail size {} product {}/{} exits {}",
-                        trail.size(),
-                        g.len(),
-                        g.edges().len(),
-                        g.exits().len()
-                    );
-                }
                 // Two workers may race to build the same graph; both arrive
                 // at identical results, so last-writer-wins is benign.
                 graphs
@@ -1190,7 +810,7 @@ impl Blazer {
         /// Extra LP calls granted per coarser-domain retry.
         const LP_RESCUE: u64 = 256;
         let cm = &self.config.cost_model;
-        let collect = self.config.effective_seeding();
+        let collect = self.config.seed_fixpoints;
         let run_domain = |d: DomainKind, use_seed: Option<&SeedMap>, want_post: bool| match d {
             DomainKind::Interval => {
                 run::<IntervalVec>(program, f, dims, &graph, cm, use_seed, want_post)
@@ -1226,15 +846,6 @@ impl Blazer {
             if first_rung {
                 seeded = out.seeded;
                 top_passes = out.top_passes;
-            }
-            if std::env::var("BLAZER_TRACE_BOUNDS").is_ok() {
-                eprintln!(
-                    "  -> [{domain}] lower {:?} upper {:?} (passes {}, seeded {})",
-                    out.result.lower.as_ref().map(|e| e.to_string()),
-                    out.result.upper.as_ref().map(|e| e.to_string()),
-                    out.top_passes,
-                    out.seeded,
-                );
             }
             // Per-thread diff: only overflows absorbed while computing
             // *this* trail's bounds (on this worker) justify a retry.
@@ -1332,6 +943,296 @@ impl Blazer {
             && self.config.budget.is_unlimited()
             && !self.config.use_ambient_budget
             && std::env::var("BLAZER_FAULT").is_err()
+    }
+}
+
+/// One analysis' refinement state, shared by both phases of Fig. 2: the
+/// trail tree with each node's star-unrolling depth, the bound cache, and
+/// the degradation and seeding records every round appends to. A phase is
+/// a loop of rounds; a round is a [`Search::split`] in the phase's mode and
+/// a [`Search::evaluate`] of the new children, then the phase's check.
+struct Search<'a> {
+    blazer: &'a Blazer,
+    ctx: EvalCtx<'a>,
+    stats: &'a antichain::StatsCollector,
+    branches: Vec<BranchSyms>,
+    high_seeds: BTreeSet<usize>,
+    width: usize,
+    tree: TrailTree,
+    /// Star splits along each node's refinement path (indexed like `tree`).
+    star_depth: Vec<usize>,
+    cache: BoundCache,
+    degradations: Vec<Degradation>,
+    seed_stats: SeedStats,
+}
+
+impl<'a> Search<'a> {
+    /// A search whose tree is the most general trail, not yet evaluated.
+    fn new(
+        blazer: &'a Blazer,
+        ctx: EvalCtx<'a>,
+        taint: &blazer_taint::TaintReport,
+        stats: &'a antichain::StatsCollector,
+    ) -> Self {
+        let EvalCtx { f, cfg, alphabet, dims, .. } = ctx;
+        let high_seeds = f
+            .params()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.label.is_high())
+            .map(|(i, _)| dims.seed(i))
+            .collect();
+        Search {
+            blazer,
+            ctx,
+            stats,
+            branches: branch_syms(f, alphabet, taint),
+            high_seeds,
+            width: blazer.config.effective_threads(),
+            tree: TrailTree::new(most_general_trail(cfg, alphabet)),
+            star_depth: vec![0],
+            cache: BoundCache::default(),
+            degradations: Vec::new(),
+            seed_stats: SeedStats::default(),
+        }
+    }
+
+    /// RefinePartition: splits every wide leaf, in tree order, at a
+    /// constructor suitable for `mode` (falling back to a block split) and
+    /// adds the parts as children produced by a `kind` split. A leaf stays
+    /// unsplit when no split exists or a part exceeds `max_trail_size`; the
+    /// round ends once the tree is full (it never shrinks). Split decisions
+    /// depend only on the pre-round tree. Returns each split's new children.
+    fn split(&mut self, mode: RefineMode, kind: SplitKind) -> Vec<Vec<usize>> {
+        let config = &self.blazer.config;
+        let mut splits = Vec::new();
+        for leaf in self.tree.leaves() {
+            if self.tree.node(leaf).status != NodeStatus::Wide {
+                continue;
+            }
+            if self.tree.len() + 2 > config.max_trails {
+                break;
+            }
+            let trail = &self.tree.node(leaf).trail;
+            let allow_star = self.star_depth[leaf] < config.max_star_unrollings;
+            let split = refine_partition(trail, &self.branches, mode, allow_star).or_else(|| {
+                self.branches.iter().find_map(|br| {
+                    block_split(
+                        trail,
+                        br,
+                        self.ctx.alphabet.len() as u32,
+                        mode,
+                        config.max_trail_size,
+                        self.ctx.classic,
+                    )
+                })
+            });
+            let Some(split) = split else { continue };
+            if split.parts.iter().any(|p| p.size() > config.max_trail_size) {
+                continue;
+            }
+            let child_depth = self.star_depth[leaf] + usize::from(split.is_star);
+            let children = split
+                .parts
+                .into_iter()
+                .map(|part| {
+                    self.star_depth.push(child_depth);
+                    self.tree.add_child(leaf, part, kind)
+                })
+                .collect();
+            splits.push(children);
+        }
+        splits
+    }
+
+    /// Bounds `nodes` (one round's new children) as one batch and judges
+    /// each narrow, wide or empty.
+    ///
+    /// The batch is resolved in three deterministic stages, identical at
+    /// every thread width:
+    ///
+    /// 1. **Cache lookup** in `nodes` order: hits reuse the memoized
+    ///    [`BoundResult`] (re-emitting its degradations keyed to the
+    ///    requesting node), and duplicate trails within the batch collapse
+    ///    onto one job, so the set of *evaluated* trails does not depend on
+    ///    scheduling.
+    /// 2. **Evaluation** of the remaining jobs: sequential on the calling
+    ///    thread at width 1, otherwise fanned out over `std::thread::scope`
+    ///    workers that pull jobs from a shared index and install this
+    ///    analysis' shared budget handle, so every resource cap stays one
+    ///    global ledger.
+    /// 3. **Merge** in `nodes` order: degradations, cache insertions, and
+    ///    judgments are committed in node order regardless of which worker
+    ///    finished first. A worker panic (e.g. an injected fault) is
+    ///    re-raised, with its original payload, after all workers have
+    ///    finished.
+    fn evaluate(&mut self, nodes: &[usize]) {
+        enum Source {
+            /// Served from the cross-round bound cache.
+            Hit(CachedBounds),
+            /// Evaluated by job index this round.
+            Job(usize),
+            /// Duplicate of another node's trail in this same batch.
+            Dup(usize),
+        }
+        let blazer = self.blazer;
+        let tree = &self.tree;
+        let BoundCache { bounds: cached_bounds, graphs } = &mut self.cache;
+        let mut plan: Vec<(usize, Source)> = Vec::with_capacity(nodes.len());
+        let mut jobs: Vec<EvalJob> = Vec::new();
+        let mut job_keys: Vec<String> = Vec::new();
+        let mut job_by_key: HashMap<String, usize> = HashMap::new();
+        for &node in nodes {
+            let key = tree.node(node).trail.to_string();
+            if let Some(hit) = cached_bounds.get(&key) {
+                plan.push((node, Source::Hit(hit.clone())));
+            } else if let Some(&j) = job_by_key.get(&key) {
+                plan.push((node, Source::Dup(j)));
+            } else {
+                // Seed lookup: the parent trail was evaluated in an earlier
+                // round (children only ever sprout from judged leaves), so
+                // its cache entry — when the ladder stayed clean — carries
+                // the post-states this child starts from.
+                let seed = if blazer.config.seed_fixpoints {
+                    tree.node(node).parent.and_then(|p| {
+                        let parent_key = tree.node(p).trail.to_string();
+                        cached_bounds.get(&parent_key).and_then(|hit| hit.post.clone())
+                    })
+                } else {
+                    None
+                };
+                let j = jobs.len();
+                jobs.push((node, seed));
+                job_keys.push(key.clone());
+                job_by_key.insert(key, j);
+                plan.push((node, Source::Job(j)));
+            }
+        }
+
+        let outs: Vec<EvalOut> = if self.width <= 1 || jobs.len() <= 1 {
+            jobs.iter()
+                .map(|(node, seed)| {
+                    let trail = &tree.node(*node).trail;
+                    blazer.bounds_for(&self.ctx, graphs, trail, *node, seed.as_deref())
+                })
+                .collect()
+        } else {
+            blazer.eval_jobs_parallel(&self.ctx, tree, &jobs, graphs, self.width)
+        };
+
+        for (node, source) in plan {
+            let result = match source {
+                Source::Hit(hit) => {
+                    self.degradations.extend(
+                        hit.degradations.iter().map(|&(from, to, reason)| Degradation {
+                            node,
+                            from,
+                            to,
+                            reason,
+                        }),
+                    );
+                    hit.result
+                }
+                Source::Job(j) => {
+                    let out = &outs[j];
+                    self.degradations.extend(out.degradations.iter().cloned());
+                    self.seed_stats.absorb_eval(out);
+                    cached_bounds.insert(
+                        job_keys[j].clone(),
+                        CachedBounds {
+                            result: out.result.clone(),
+                            degradations: out
+                                .degradations
+                                .iter()
+                                .map(|d| (d.from, d.to, d.reason))
+                                .collect(),
+                            post: out.post.clone().map(Arc::new),
+                        },
+                    );
+                    out.result.clone()
+                }
+                Source::Dup(j) => {
+                    let out = &outs[j];
+                    self.degradations
+                        .extend(out.degradations.iter().map(|d| Degradation { node, ..d.clone() }));
+                    out.result.clone()
+                }
+            };
+            let status = judge(&result, &blazer.config.observer, &self.high_seeds);
+            let n = self.tree.node_mut(node);
+            n.status = status;
+            n.bounds = Some(result);
+        }
+    }
+
+    /// CHECKSAFE: every leaf's bounds are narrow (or the leaf is empty).
+    fn all_leaves_narrow(&self) -> bool {
+        self.tree
+            .leaves()
+            .into_iter()
+            .all(|l| matches!(self.tree.node(l).status, NodeStatus::Narrow | NodeStatus::Empty))
+    }
+
+    /// CHECKATTACK over one round's splits, in the pair order of a strictly
+    /// sequential evaluation, so the reported specification (the first
+    /// observably-different sec-separated pair) is the same at every thread
+    /// count: each new child against every earlier candidate, then the
+    /// siblings of its split, which are always sec-separated. Marks the
+    /// pair found as [`NodeStatus::Attack`].
+    fn check_attack(
+        &mut self,
+        round: &[Vec<usize>],
+        candidates: &mut Vec<usize>,
+    ) -> Option<AttackSpec> {
+        let observer = &self.blazer.config.observer;
+        let tree = &self.tree;
+        let spec = 'found: {
+            for children in round {
+                for &c in children {
+                    for &d in candidates.iter() {
+                        if sec_separated(tree, c, d) {
+                            if let Some(spec) = check_attack_pair(observer, tree, c, d) {
+                                break 'found spec;
+                            }
+                        }
+                    }
+                    candidates.push(c);
+                }
+                for (i, &a) in children.iter().enumerate() {
+                    for &b in &children[i + 1..] {
+                        if let Some(spec) = check_attack_pair(observer, tree, a, b) {
+                            break 'found spec;
+                        }
+                    }
+                }
+            }
+            return None;
+        };
+        self.tree.node_mut(spec.node_a).status = NodeStatus::Attack;
+        self.tree.node_mut(spec.node_b).status = NodeStatus::Attack;
+        Some(spec)
+    }
+
+    /// The analysis' outcome, at whichever exit of Fig. 2 it was reached.
+    fn finish(
+        self,
+        verdict: Verdict,
+        safety_time: Duration,
+        attack_time: Option<Duration>,
+    ) -> AnalysisOutcome {
+        AnalysisOutcome {
+            function: self.ctx.f.name().to_string(),
+            verdict,
+            tree: self.tree,
+            safety_time,
+            attack_time,
+            n_blocks: self.ctx.f.blocks().len(),
+            degradations: self.degradations,
+            budget_report: budget::report(),
+            seed_stats: self.seed_stats,
+            antichain_stats: self.stats.snapshot(),
+            cost_model: self.blazer.config.cost_model.clone(),
+        }
     }
 }
 
@@ -1480,13 +1381,72 @@ mod tests {
     fn outcome_records_the_configured_cost_model() {
         // Every consumer (attack concretization, reports, the serve layer)
         // reads the model from the outcome, so the driver must thread the
-        // one Config source through rather than re-defaulting to unit.
-        let src = "fn f(h: int #high) { if (h > 0) { tick(2); } else { tick(2); } }";
-        let weighted = blazer_ir::cost::CostModel::weighted();
-        let out = analyze(src, "f", Config::microbench().with_cost_model(weighted.clone()));
-        assert_eq!(out.cost_model, weighted);
-        let out = analyze(src, "f", Config::microbench());
-        assert_eq!(out.cost_model, blazer_ir::cost::CostModel::unit());
+        // one Config source through rather than re-defaulting to unit — at
+        // every one of `analyze`'s exits, each of which must fill in the
+        // whole outcome.
+        let no_secret = "fn f(low: int) { let i: int = 0; while (i < low) { i = i + 1; } }";
+        let balanced = "fn f(h: int #high) { if (h > 0) { tick(2); } else { tick(2); } }";
+        let unbalanced = "fn f(h: int #high) { if (h == 0) { tick(1); } else { tick(100); } }";
+        let low_split = "fn f(high: int #high, low: int) { \
+            if (low > 0) { \
+                let i: int = 0; \
+                while (i < low) { i = i + 1; } \
+            } else { \
+                if (high == 0) { tick(1); } else { tick(100); } \
+            } \
+        }";
+        let weighted = CostModel::weighted();
+        let config = Config::microbench().with_cost_model(weighted.clone());
+        let one_step = config.clone().with_budget(Budget::unlimited().with_max_refinement_steps(1));
+        let mut no_attack = config.clone();
+        no_attack.synthesize_attack = false;
+        // (exit, source, config, expected verdict, attack phase ran)
+        type Case<'a> = (&'a str, &'a str, Config, fn(&Verdict) -> bool, bool);
+        let cases: [Case; 5] = [
+            ("fast path", no_secret, config.clone(), Verdict::is_safe, false),
+            ("safe", balanced, config.clone(), Verdict::is_safe, false),
+            (
+                "budget exhausted",
+                low_split,
+                one_step,
+                |v| {
+                    matches!(
+                        v,
+                        Verdict::Unknown(UnknownReason::BudgetExhausted(Resource::RefinementSteps))
+                    )
+                },
+                false,
+            ),
+            (
+                "synthesis disabled",
+                unbalanced,
+                no_attack,
+                |v| matches!(v, Verdict::Unknown(UnknownReason::AttackSynthesisDisabled)),
+                false,
+            ),
+            ("attack", unbalanced, config, Verdict::is_attack, true),
+        ];
+        for (exit, src, config, expected, attack_phase) in cases {
+            let p = compile(src).unwrap();
+            let out = Blazer::new(config).analyze(&p, "f").unwrap();
+            assert!(expected(&out.verdict), "{exit}: verdict {}", out.verdict);
+            assert_eq!(out.function, "f", "{exit}");
+            assert_eq!(out.n_blocks, p.function("f").unwrap().blocks().len(), "{exit}");
+            assert_eq!(out.cost_model, weighted, "{exit}");
+            assert_eq!(out.attack_time.is_some(), attack_phase, "{exit}");
+            // The report is this analysis' ledger: only the fast path skips
+            // refinement, and only the capped run exhausts anything.
+            let report = &out.budget_report;
+            assert_eq!(report.refinement_steps == 0, exit == "fast path", "{exit}: {report:?}");
+            assert_eq!(report.fixpoint_passes == 0, exit == "fast path", "{exit}: {report:?}");
+            assert_eq!(
+                report.exhausted.is_some(),
+                exit == "budget exhausted",
+                "{exit}: {report:?}"
+            );
+        }
+        let out = analyze(balanced, "f", Config::microbench());
+        assert_eq!(out.cost_model, CostModel::unit());
     }
 
     #[test]

@@ -78,17 +78,10 @@ impl AnalyzeRequest {
                         Some(value.as_str().ok_or("\"function\" must be a string")?.to_string());
                 }
                 "domain" => {
-                    req.domain = match value.as_str() {
-                        Some("interval") => DomainKind::Interval,
-                        Some("zone") => DomainKind::Zone,
-                        Some("octagon") => DomainKind::Octagon,
-                        Some("polyhedra") => DomainKind::Polyhedra,
-                        _ => {
-                            return Err(
-                                "\"domain\" must be interval|zone|octagon|polyhedra".to_string()
-                            )
-                        }
-                    };
+                    req.domain = value
+                        .as_str()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or("\"domain\" must be interval|zone|octagon|polyhedra")?;
                 }
                 "observer" => {
                     req.observer = match value.as_str() {

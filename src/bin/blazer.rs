@@ -126,13 +126,8 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
 }
 
 fn parse_domain(arg: Option<&str>) -> Result<DomainKind, String> {
-    match arg {
-        Some("interval") => Ok(DomainKind::Interval),
-        Some("zone") => Ok(DomainKind::Zone),
-        Some("octagon") => Ok(DomainKind::Octagon),
-        Some("polyhedra") => Ok(DomainKind::Polyhedra),
-        other => Err(format!("--domain expects interval|zone|octagon|polyhedra, got {other:?}")),
-    }
+    arg.and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("--domain expects interval|zone|octagon|polyhedra, got {arg:?}"))
 }
 
 fn parse_cost_model(arg: Option<&str>) -> Result<blazer::ir::cost::CostModel, String> {
